@@ -481,7 +481,8 @@ def bench_dispatch(
 
     Runs the same simulation through the process pool twice — once with
     the shared-memory task rings and the cached dispatch plan, once with
-    the legacy pickled-descriptor pipe path — each under an
+    the legacy pickled-descriptor pipe path
+    (:class:`repro.bench.legacy.PipeDispatchExecutor`) — each under an
     :class:`~repro.instrument.ExecutorTrace`, and compares the *parent-
     side dispatch CPU seconds per task* from the span breakdown
     (:func:`repro.bench.reporting.dispatch_breakdown`).  The first batch
@@ -498,27 +499,28 @@ def bench_dispatch(
     computed the same run, and ``plan_hits``/``plan_misses`` audit that
     the ring path really was on its cached-plan fast path.
     """
+    from repro.bench.legacy import PipeDispatchExecutor
     from repro.bench.reporting import dispatch_breakdown
     from repro.instrument import ExecutorTrace
     from repro.runtime.executor import ProcessExecutor
 
     spec = _fig6_spec(n, steps)
     cost = scaled_cost(MachineModel(), 1.0)
-    per_task = {}
-    sims = {}
-    breakdowns = {}
-    plan = {}
-    for path in ("ring", "pipe"):
+
+    def measure(cls) -> tuple[float, dict, dict]:
         tracer = ExecutorTrace()
-        ex = ProcessExecutor(workers=workers, dispatch=path, exec_tracer=tracer)
+        ex = cls(workers=workers, exec_tracer=tracer)
         try:
-            _wall, sims[path] = _run_sim(spec, cores, cost, executor=ex)
-            plan[path] = dict(hits=ex.plan_hits, misses=ex.plan_misses)
+            _wall, sim = _run_sim(spec, cores, cost, executor=ex)
+            plan = dict(hits=ex.plan_hits, misses=ex.plan_misses)
         finally:
             ex.close()
-        bd = dispatch_breakdown(tracer.spans)
-        breakdowns[path] = bd["totals"]
-        per_task[path] = bd["totals"]["steady_dispatch_cpu_s_per_task"]
+        return sim, plan, dispatch_breakdown(tracer.spans)["totals"]
+
+    ring_sim, ring_plan, ring_totals = measure(ProcessExecutor)
+    pipe_sim, _, pipe_totals = measure(PipeDispatchExecutor)
+    ring_s = ring_totals["steady_dispatch_cpu_s_per_task"]
+    pipe_s = pipe_totals["steady_dispatch_cpu_s_per_task"]
     return dict(
         name=f"dispatch_n{n}_c{cores}_w{workers}",
         kind="dispatch",
@@ -527,16 +529,16 @@ def bench_dispatch(
             n_particles=n, steps=steps, cells=spec.cells, cores=cores,
             workers=workers,
         ),
-        baseline_s=per_task["pipe"],
-        optimized_s=per_task["ring"],
-        speedup=per_task["pipe"] / per_task["ring"],
-        pushes_per_sec=n * steps / max(per_task["ring"], 1e-12),
-        sim_time_s=sims["ring"],
-        sim_time_match=bool(sims["ring"] == sims["pipe"]),
-        plan_hits=plan["ring"]["hits"],
-        plan_misses=plan["ring"]["misses"],
-        ring_totals=breakdowns["ring"],
-        pipe_totals=breakdowns["pipe"],
+        baseline_s=pipe_s,
+        optimized_s=ring_s,
+        speedup=pipe_s / ring_s,
+        pushes_per_sec=n * steps / max(ring_s, 1e-12),
+        sim_time_s=ring_sim,
+        sim_time_match=bool(ring_sim == pipe_sim),
+        plan_hits=ring_plan["hits"],
+        plan_misses=ring_plan["misses"],
+        ring_totals=ring_totals,
+        pipe_totals=pipe_totals,
         gate_min_speedup=gate,
     )
 
@@ -669,8 +671,9 @@ def bench_campaign_throughput(
 
     Both sides run the identical uncached ``points``-point declaration at
     ``--jobs`` ``jobs`` against fresh caches: the baseline is the kept-
-    verbatim ``ProcessPoolExecutor`` path (``runner="pool"``), the
-    optimized side the warm-worker fabric (``runner="fabric"``).  Beyond
+    verbatim ``ProcessPoolExecutor`` path
+    (:func:`repro.bench.legacy.run_campaign_pool`), the optimized side the
+    warm-worker fabric (``runner="fabric"``).  Beyond
     the wall-clock ratio the entry is a correctness audit:
 
     * ``bitwise_match`` — both runners' artifact directories must be
@@ -691,6 +694,7 @@ def bench_campaign_throughput(
     import os
     import tempfile
 
+    from repro.bench.legacy import run_campaign_pool
     from repro.campaign import CampaignSpec, run_campaign
 
     camp = CampaignSpec.from_dict(
@@ -715,7 +719,7 @@ def bench_campaign_throughput(
         fabric_cache = os.path.join(td, "fabric")
 
         t0 = time.perf_counter()
-        run_campaign(camp, cache_dir=pool_cache, jobs=jobs, runner="pool")
+        run_campaign_pool(camp, cache_dir=pool_cache, jobs=jobs)
         pool_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -1,11 +1,11 @@
 """Work-stealing campaign fabric: persistent warm workers over a sweep.
 
-The PR-7 runner (`repro.campaign.runner._run_pool`, kept as the ``pool``
-baseline) fans every uncached point out through a vanilla
-``ProcessPoolExecutor``: each point pays process-pool startup and JIT
+The PR-7 runner (kept as :func:`repro.bench.legacy.run_campaign_pool`,
+the measured baseline) fanned every uncached point out through a vanilla
+``ProcessPoolExecutor``: each point paid process-pool startup and JIT
 warmup *again* inside its own ``execute_runspec`` call, the artifact
-cache is probed one ``open()`` at a time, and a point landing at the tail
-of the submission order serializes the whole sweep behind it.  This
+cache was probed one ``open()`` at a time, and a point landing at the
+tail of the submission order serialized the whole sweep behind it.  This
 module replaces that with a small fabric:
 
 * **Persistent warm workers.**  ``jobs`` long-lived worker processes each
@@ -122,9 +122,6 @@ class FabricConfig:
     heartbeat_timeout_s: float = 120.0
     #: Re-executions granted to a point whose worker died mid-run.
     max_retries: int = 1
-    #: multiprocessing start method; None picks ``fork`` where available
-    #: (workers inherit warm imports) and ``spawn`` elsewhere.
-    mp_context: str | None = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -313,10 +310,8 @@ def schedule_order(tasks: list[tuple[int, RunSpec]]) -> list[int]:
 def _executor_key(rs: RunSpec) -> tuple:
     """The resolved executor identity a warm executor is cached under."""
     from repro.config.env import (
-        resolve_dispatch,
         resolve_executor,
         resolve_kernel_backend,
-        resolve_ring_slots,
         resolve_workers,
     )
 
@@ -324,8 +319,6 @@ def _executor_key(rs: RunSpec) -> tuple:
         resolve_executor(None, rs.executor.kind),
         resolve_workers(None, rs.executor.workers),
         resolve_kernel_backend(None, rs.executor.kernel_backend),
-        resolve_dispatch(None, rs.executor.dispatch),
-        resolve_ring_slots(None, rs.executor.ring_slots),
     )
 
 
@@ -445,12 +438,11 @@ class _Worker:
         return self.proc.is_alive()
 
 
-def _pick_context(cfg: FabricConfig):
+def _pick_context():
+    """``fork`` where available (workers inherit warm imports), else ``spawn``."""
     import multiprocessing as mp
 
-    name = cfg.mp_context
-    if name is None:
-        name = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+    name = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     return mp.get_context(name)
 
 
@@ -474,7 +466,7 @@ def run_fabric(
     """
     from multiprocessing import connection as mpc
 
-    ctx = _pick_context(config)
+    ctx = _pick_context()
     jobs = min(config.jobs, len(tasks)) or 1
     hb = ctx.Array("d", jobs)
 

@@ -197,9 +197,11 @@ class MachineConfig:
                      float(costs["bandwidth"]))
                 )
             tiers = tuple(tiers)
+        cores_per_socket = _expect(doc, "cores_per_socket", int, where)
+        sockets_per_node = _expect(doc, "sockets_per_node", int, where)
         return cls(
-            cores_per_socket=int(doc.get("cores_per_socket", 12)),
-            sockets_per_node=int(doc.get("sockets_per_node", 2)),
+            cores_per_socket=12 if cores_per_socket is None else cores_per_socket,
+            sockets_per_node=2 if sockets_per_node is None else sockets_per_node,
             name=str(doc.get("name", "edison-like")),
             tiers=tiers,
         )
@@ -382,8 +384,6 @@ class ExecutorConfig:
     workers: int | None = None
     # python | compiled | compiled-parallel | auto | None = inherit
     kernel_backend: str | None = None
-    dispatch: str | None = None  # ring | pipe | None = inherit
-    ring_slots: int | None = None  # per-worker task-ring capacity
 
     def __post_init__(self) -> None:
         if self.kind is not None and self.kind not in (
@@ -407,37 +407,21 @@ class ExecutorConfig:
                 "python/compiled/compiled-parallel/auto, "
                 f"got {self.kernel_backend!r}"
             )
-        if self.dispatch is not None and self.dispatch not in ("ring", "pipe"):
-            raise ConfigError(
-                f"executor.dispatch must be ring/pipe, got {self.dispatch!r}"
-            )
-        if self.ring_slots is not None and self.ring_slots < 1:
-            raise ConfigError("executor.ring_slots must be >= 1")
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "workers": self.workers,
             "kernel_backend": self.kernel_backend,
-            "dispatch": self.dispatch,
-            "ring_slots": self.ring_slots,
         }
 
     @classmethod
     def from_dict(cls, doc: Mapping, where: str = "executor") -> "ExecutorConfig":
-        _check_keys(
-            doc,
-            ("kind", "workers", "kernel_backend", "dispatch", "ring_slots"),
-            where,
-        )
-        workers = doc.get("workers")
-        ring_slots = doc.get("ring_slots")
+        _check_keys(doc, ("kind", "workers", "kernel_backend"), where)
         return cls(
             kind=doc.get("kind"),
-            workers=None if workers is None else int(workers),
+            workers=_expect(doc, "workers", int, where),
             kernel_backend=doc.get("kernel_backend"),
-            dispatch=doc.get("dispatch"),
-            ring_slots=None if ring_slots is None else int(ring_slots),
         )
 
 
@@ -503,7 +487,7 @@ class ResilienceSpec:
             faults=None if doc.get("faults") is None else dict(doc["faults"]),
             watch=None if doc.get("watch") is None else dict(doc["watch"]),
             recovery=None if doc.get("recovery") is None else dict(doc["recovery"]),
-            checkpoint_every=int(doc.get("checkpoint_every", 0)),
+            checkpoint_every=_expect(doc, "checkpoint_every", int, where) or 0,
             checkpoint_dir=str(doc.get("checkpoint_dir", "checkpoints")),
         )
 

@@ -195,8 +195,8 @@ def advance_arrays(
     ``workspace`` (worker processes must: the module singleton is only safe
     within one process because the push never yields).  All arguments are
     picklable (the mesh is a frozen dataclass of scalars), but workers
-    rebuild views from shared-memory descriptors rather than pickling
-    arrays — see :func:`repro.runtime.executor._worker_main`.
+    rebuild views from shared-memory task records rather than pickling
+    arrays — see :func:`repro.runtime.executor._worker_ring_main`.
 
     Chunking is per :data:`KERNEL_BLOCK` and elementwise, so segment
     boundaries never change a result bit.

@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from repro.bench.legacy import run_campaign_pool
 from repro.campaign import (
     CacheIndex,
     CampaignSpec,
@@ -273,11 +274,10 @@ class TestWarmWorkers:
         a = run_campaign(
             spec, cache_dir=str(tmp_path / "fabric"), jobs=2, runner="fabric"
         )
-        b = run_campaign(
-            spec, cache_dir=str(tmp_path / "pool"), jobs=2, runner="pool"
-        )
-        assert a.fabric is not None and b.fabric is None
-        for oa, ob in zip(a.outcomes, b.outcomes):
+        b = run_campaign_pool(spec, cache_dir=str(tmp_path / "pool"), jobs=2)
+        assert a.fabric is not None
+        assert len(a.outcomes) == len(b) == 2
+        for oa, ob in zip(a.outcomes, b):
             assert oa.spec_hash == ob.spec_hash
             pa = artifact_path(str(tmp_path / "fabric"), oa.spec_hash)
             pb = artifact_path(str(tmp_path / "pool"), ob.spec_hash)

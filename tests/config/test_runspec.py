@@ -72,6 +72,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="gpu"):
             ExecutorConfig(kind="gpu")
 
+    @pytest.mark.parametrize("key", ["dispatch", "ring_slots"])
+    def test_retired_executor_keys_rejected(self, key):
+        doc = small_spec().to_dict()
+        doc["executor"][key] = "ring" if key == "dispatch" else 64
+        with pytest.raises(ConfigError, match=rf"{key}.*in executor"):
+            RunSpec.from_dict(doc)
+
     def test_bad_fault_plan_rejected_eagerly(self):
         with pytest.raises(ConfigError, match="faults"):
             ResilienceSpec(faults={"seed": 1, "faults": [{"kind": "meteor"}]})

@@ -169,13 +169,27 @@ class TestRejection:
             RunSpec.from_dict(doc)
 
     def test_non_numeric_cost_rejected(self):
-        doc = RunSpec(
+        clean = RunSpec(
             workload=PICSpec(cells=32, n_particles=100, steps=2),
             impl=ImplConfig(name="mpi-2d", cores=2),
         ).to_dict()
-        doc["cost"]["particle_push_s"] = "fast"
-        with pytest.raises(ConfigError, match="number"):
-            RunSpec.from_dict(doc)
+        # Integer fields are validated, not coerced: a word, a bool or a
+        # fraction must not silently become a different simulated machine.
+        cases = [("cost", "particle_push_s", "fast", "number")] + [
+            (section, key, bad, f"{section}.{key} must be int")
+            for section, key in (
+                ("executor", "workers"),
+                ("machine", "cores_per_socket"),
+                ("machine", "sockets_per_node"),
+                ("resilience", "checkpoint_every"),
+            )
+            for bad in ("two", True, 1.5, 2.9)
+        ]
+        for section, key, bad, message in cases:
+            doc = json.loads(json.dumps(clean))
+            doc[section][key] = bad
+            with pytest.raises(ConfigError, match=message):
+                RunSpec.from_dict(doc)
 
     def test_zero_cores_rejected(self):
         with pytest.raises(ConfigError, match="cores"):

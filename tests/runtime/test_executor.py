@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from repro.core.kernel import KernelWorkspace, advance, advance_arrays
+from repro.bench.legacy import PipeDispatchExecutor
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
+from repro.runtime import executor as executor_mod
 from repro.runtime import ops
 from repro.runtime.executor import (
     BatchedExecutor,
@@ -248,12 +250,14 @@ class TestBackends:
 class TestRingDispatch:
     """Zero-copy ring path: bitwise parity, plan cache, chunking, knobs."""
 
-    @pytest.mark.parametrize("dispatch", ["ring", "pipe"])
-    def test_both_paths_match_serial_oracle(self, dispatch):
+    @pytest.mark.parametrize(
+        "cls", [ProcessExecutor, PipeDispatchExecutor], ids=["ring", "pipe"]
+    )
+    def test_both_paths_match_serial_oracle(self, cls):
         mesh = Mesh(cells=8)
         sizes = (40, 0, 333, 17)
         batch = _push_batch(mesh, 0.01, sizes)
-        ex = ProcessExecutor(workers=2, dispatch=dispatch)
+        ex = cls(workers=2)
         try:
             ex.run_batch(batch)
         finally:
@@ -264,7 +268,7 @@ class TestRingDispatch:
     def test_plan_cache_hits_and_generation_invalidation(self):
         mesh = Mesh(cells=8)
         batch = _push_batch(mesh, 0.01, (50, 60, 70))
-        ex = ProcessExecutor(workers=2, dispatch="ring")
+        ex = ProcessExecutor(workers=2)
         try:
             for _ in range(3):
                 ex.run_batch(batch)
@@ -299,7 +303,7 @@ class TestRingDispatch:
         a miss) instead of dispatching against a stale partition."""
         mesh = Mesh(cells=8)
         batch = _push_batch(mesh, 0.01, (100, 100, 100, 100))
-        ex = ProcessExecutor(workers=2, dispatch="ring")
+        ex = ProcessExecutor(workers=2)
         try:
             ex.run_batch(batch)
             ex.run_batch(batch)
@@ -318,12 +322,13 @@ class TestRingDispatch:
         finally:
             ex.close()
 
-    def test_tiny_ring_publishes_in_chunks(self):
+    def test_tiny_ring_publishes_in_chunks(self, monkeypatch):
         """A bin larger than the ring drains through follow-on chunks."""
+        monkeypatch.setattr(executor_mod, "RING_SLOTS", 2)
         mesh = Mesh(cells=8)
         sizes = (30, 31, 32, 33, 34, 35, 36)
         batch = _push_batch(mesh, 0.01, sizes)
-        ex = ProcessExecutor(workers=1, dispatch="ring", ring_slots=2)
+        ex = ProcessExecutor(workers=1)
         try:
             for _ in range(2):  # second pass exercises chunked re-publish
                 ex.run_batch(batch)
@@ -336,23 +341,23 @@ class TestRingDispatch:
             _assert_fields_equal(task.particles, oracle)
 
     def test_stats_report_dispatch_knobs(self):
-        ex = ProcessExecutor(workers=1, dispatch="ring", ring_slots=16)
+        ex = ProcessExecutor(workers=1)
         try:
             stats = ex.stats()
         finally:
             ex.close()
-        assert stats["dispatch"] == "ring"
-        assert stats["ring_slots"] == 16
         assert {"plan_epoch", "plan_hits", "plan_misses"} <= set(stats)
+        assert not {"dispatch", "ring_slots"} & set(stats)
 
     def test_invalid_dispatch_and_ring_slots_rejected(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            ProcessExecutor(workers=1, dispatch="carrier-pigeon")
-        with pytest.raises(ValueError, match="ring_slots"):
-            ProcessExecutor(workers=1, dispatch="ring", ring_slots=0)
+        """The dispatch path and ring depth are fixed, not options."""
+        with pytest.raises(TypeError, match="dispatch"):
+            ProcessExecutor(workers=1, dispatch="pipe")
+        with pytest.raises(TypeError, match="ring_slots"):
+            make_executor("process", workers=1, ring_slots=2)
 
     def test_ensure_ready_is_idempotent(self):
-        ex = ProcessExecutor(workers=1, dispatch="ring")
+        ex = ProcessExecutor(workers=1)
         try:
             ex.ensure_ready()
             startup = ex.pool_startup_s
@@ -367,15 +372,15 @@ class TestRingDispatch:
         the figure the ring-vs-pipe gate compares (wall time would
         double-count worker kernel time on oversubscribed hosts)."""
         mesh = Mesh(cells=8)
-        for dispatch in ("ring", "pipe"):
+        for cls in (ProcessExecutor, PipeDispatchExecutor):
             tr = ExecutorTrace()
-            ex = ProcessExecutor(workers=1, dispatch=dispatch, exec_tracer=tr)
+            ex = cls(workers=1, exec_tracer=tr)
             try:
                 ex.run_batch(_push_batch(mesh, 0.01, (40, 50)))
             finally:
                 ex.close()
             spans = [s for s in tr.spans if s.phase == "dispatch"]
-            assert spans, dispatch
+            assert spans, cls.__name__
             for s in spans:
                 assert s.args_dict()["cpu_s"] >= 0.0
 
@@ -388,7 +393,7 @@ def test_concurrent_prewarm_startup_is_flat():
     pool's startup (generous 2.5x bound for scheduler noise)."""
     t_one = t_four = None
     for workers in (1, 4):
-        ex = ProcessExecutor(workers=workers, dispatch="ring")
+        ex = ProcessExecutor(workers=workers)
         try:
             ex.ensure_ready()
             if workers == 1:

@@ -141,6 +141,18 @@ class TestExecutorFlags:
         assert rc == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--dispatch", "ring"], "unrecognized arguments: --dispatch"),
+        (["campaign", "decl.json", "--runner", "pool"], "invalid choice: 'pool'"),
+    ])
+    def test_retired_path_selectors_are_argparse_errors(
+        self, argv, message, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_profile_with_process_executor_is_rejected(self, capsys):
         rc = main([
             "run", "--impl", "mpi-2d", "--cores", "4",
@@ -342,21 +354,21 @@ class TestRunSpecCLI:
 
     def test_dry_run_explicit_backend_and_dispatch_pass_through(self, capsys):
         rc = main([
-            "run", *self.ARGS, "--kernel-backend", "python",
-            "--dispatch", "pipe", "--dry-run",
+            "run", *self.ARGS, "--kernel-backend", "python", "--dry-run",
         ])
         out = capsys.readouterr().out
         assert rc == 0
         doc = json.loads(out[: out.rindex("spec hash:")])
         assert doc["executor"]["kernel_backend"] == "python"
-        assert doc["executor"]["dispatch"] == "pipe"
-        assert doc["executor"]["ring_slots"] >= 1  # default filled in
+        # The dispatch path is fixed, so the resolved spec carries no knob.
+        assert set(doc["executor"]) == {"kind", "workers", "kernel_backend"}
 
     def test_dry_run_hash_excludes_backend_and_dispatch(self, capsys):
-        """Backend/dispatch can never change what a run computes, so the
-        printed identity hash must not move with them."""
+        """The kernel backend can never change what a run computes, so the
+        printed identity hash must not move with it (the dispatch path is
+        fixed and never reaches the spec)."""
         hashes = set()
-        for extra in ((), ("--kernel-backend", "python", "--dispatch", "pipe")):
+        for extra in ((), ("--kernel-backend", "python")):
             rc = main(["run", *self.ARGS, *extra, "--dry-run"])
             out = capsys.readouterr().out
             assert rc == 0
