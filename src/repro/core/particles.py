@@ -254,15 +254,19 @@ class ParticleArray:
             store[i] = moved
             d[name] = moved[:n]
 
-    def compact(self, keep) -> None:
+    def compact(self, keep, start: int = 0) -> None:
         """Keep only the particles selected by boolean mask ``keep``, in place.
 
         A stable partition: survivors retain their relative order, matching
-        ``select(keep)``.  The backing store is not reallocated; when every
-        particle survives this is a no-op (no copies, no allocations).
+        ``select(keep)``.  With ``start``, ``keep`` covers only the suffix
+        ``[start, n)`` (length ``n - start``) and every particle before
+        ``start`` survives untouched — so removing a few particles near the
+        end of the array rewrites only that suffix, not the population.
+        The backing store is not reallocated; when every particle survives
+        this is a no-op (no copies, no allocations).
         """
         n = len(self)
-        k = int(np.count_nonzero(keep))
+        k = start + int(np.count_nonzero(keep))
         if k == n:
             return
         store = self._backing()
@@ -270,7 +274,7 @@ class ParticleArray:
         for i, name in enumerate(_FIELDS):
             # RHS fancy indexing materializes the survivors first, so the
             # overlapping in-place assignment is safe.
-            store[i][:k] = d[name][keep]
+            store[i][start:k] = d[name][start:][keep]
             d[name] = store[i][:k]
 
     def extend(self, other: "ParticleArray") -> None:

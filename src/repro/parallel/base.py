@@ -18,10 +18,12 @@ nearest-neighbor communication structure.
 
 Hot-path note (docs/performance.md): the exchange mutates the rank's
 :class:`ParticleArray` in place (``compact`` / ``extend_packed``) and packs
-departures into per-rank reused wire buffers (:class:`ExchangeScratch`), so
-a settled step — the common case — performs zero full-population array
-allocations.  None of this changes simulated time, message counts or
-payloads: the golden-trace and differential suites pin that byte-for-byte.
+departures by index into per-rank reused wire buffers
+(:class:`ExchangeScratch`).  After one classification pass per axis per
+step its work is proportional to the particles that leave or arrive, and
+it performs no full-population array allocations.  None of this changes
+simulated time, message counts or payloads: the golden-trace and
+differential suites pin that byte-for-byte.
 """
 
 from __future__ import annotations
@@ -702,7 +704,7 @@ class _RankState:
 # Particle exchange
 # ----------------------------------------------------------------------
 class ExchangeScratch:
-    """Per-rank reusable buffers backing the zero-churn particle exchange.
+    """Per-rank reusable buffers backing the sparse particle exchange.
 
     One instance per SPMD rank (a field of :class:`_RankState`) — the
     exchange generator yields control mid-flight, so a module-level
@@ -714,14 +716,15 @@ class ExchangeScratch:
       joining the settlement allreduce, and the sender's next write to the
       same buffer happens only after that allreduce — so reuse across hops
       and steps never aliases an in-flight message;
-    * integer / float / bool scratch for the settled fast path: cell
-      indices and ownership range tests are computed with ``out=`` into
-      these, so a step in which no particle migrates allocates nothing.
+    * float / bool scratch for the classification pass: cell
+      indices and ownership range tests of the unproven suffix are
+      computed with ``out=`` into these, and the per-axis out-of-range
+      flags double as the compaction mask, so a hop allocates nothing
+      proportional to the population.
     """
 
     def __init__(self) -> None:
         self._wire: dict[tuple[int, int], np.ndarray] = {}
-        self._idx = np.empty(0, dtype=np.int64)
         self._flt = np.empty(0, dtype=np.float64)
         self._outx = np.empty(0, dtype=bool)
         self._outy = np.empty(0, dtype=bool)
@@ -737,39 +740,49 @@ class ExchangeScratch:
         return buf
 
     def _ensure(self, n: int) -> None:
-        if len(self._idx) < n:
-            cap = max(n, 2 * len(self._idx), 16)
-            self._idx = np.empty(cap, dtype=np.int64)
+        if len(self._flt) < n:
+            cap = max(n, 2 * len(self._flt), 16)
             self._flt = np.empty(cap, dtype=np.float64)
             self._outx = np.empty(cap, dtype=bool)
             self._outy = np.empty(cap, dtype=bool)
             self._tmpb = np.empty(cap, dtype=bool)
 
     def cells_into(self, coord: np.ndarray, mesh: Mesh) -> np.ndarray:
-        """``mesh.cell_of(coord)`` computed into reused scratch (same values)."""
+        """``mesh.cell_of(coord)`` computed into reused scratch.
+
+        The cell indices stay float64 (integer-valued, far below 2**53):
+        range tests and ``searchsorted`` against the integer splits compare
+        them exactly, so the int64 conversion pass is skipped.
+        """
         n = len(coord)
         self._ensure(n)
         f = self._flt[:n]
-        idx = self._idx[:n]
-        np.divide(coord, mesh.h, out=f)
-        np.floor(f, out=f)
-        np.copyto(idx, f, casting="unsafe")
+        # Dividing by 1.0 is the identity, the common configuration.
+        if mesh.h == 1.0:
+            np.floor(coord, out=f)
+        else:
+            np.divide(coord, mesh.h, out=f)
+            np.floor(f, out=f)
         # np.mod is an identity for indices already in [0, cells); positions
         # are wrapped, so the floor can only escape that range through the
-        # ``x/h == cells`` rounding edge — pay the integer mod only then.
-        if n and (int(idx.max()) >= mesh.cells or int(idx.min()) < 0):
-            np.mod(idx, mesh.cells, out=idx)
-        return idx
+        # ``x/h == cells`` rounding edge — pay the mod only then.
+        if n and (f.max() >= mesh.cells or f.min() < 0):
+            np.mod(f, mesh.cells, out=f)
+        return f
 
-    def out_of_range(self, axis: int, idx, lo: int, hi: int) -> np.ndarray:
+    def out_of_range(self, axis: int, cell, lo: int, hi: int) -> np.ndarray:
         """Flags (into reused scratch) of cell indices outside ``[lo, hi)``."""
-        n = len(idx)
+        n = len(cell)
         out = (self._outx if axis == 0 else self._outy)[:n]
         tmp = self._tmpb[:n]
-        np.less(idx, lo, out=out)
-        np.greater_equal(idx, hi, out=tmp)
+        np.less(cell, lo, out=out)
+        np.greater_equal(cell, hi, out=tmp)
         np.logical_or(out, tmp, out=out)
         return out
+
+    def keep_mask(self, leaving: np.ndarray) -> np.ndarray:
+        """``~leaving`` written into reused scratch (a compaction mask)."""
+        return np.logical_not(leaving, out=self._tmpb[: len(leaving)])
 
 
 def exchange_particles(
@@ -789,11 +802,19 @@ def exchange_particles(
 
     ``particles`` is mutated in place (compact + extend into its pooled
     backing storage) and also returned, preserving the original
-    return-the-new-set contract.  On the common settled path — nothing
-    leaves or arrives — the ownership check is a range test against the
-    rank's own block bounds written into ``scratch``, and the hop allocates
-    no full-population arrays at all; per-particle owner indices are only
-    computed on the migration path.
+    return-the-new-set contract.
+
+    Cost model: per call, one classification pass per axis (a range test
+    of every particle's cell against the rank's own block bounds, written
+    into ``scratch``); everything after it is O(departures + arrivals).
+    The exchange tracks, per axis, the length of the array prefix already
+    proven in range on that axis: a hop leaves every particle it kept in
+    range on its own axis (so the prefix becomes the kept count), the
+    other axis's prefix only loses the departures that sat inside it, and
+    arrivals are appended past both.  Later hops and the settlement count
+    therefore scan only the unproven suffix — the arrivals.  A settled
+    call (nothing leaves or arrives) issues the same numpy calls as a
+    plain range test and allocates nothing proportional to the population.
     """
     my_px, my_py = cart.coords
     px, py = cart.px, cart.py
@@ -801,30 +822,26 @@ def exchange_particles(
         scratch = ExchangeScratch()
     x_lo, x_hi = partition.x_range(my_px)
     y_lo, y_hi = partition.y_range(my_py)
+    # proven[axis]: particles [0, proven[axis]) are known to lie inside
+    # this rank's block along that axis.  Nothing is known after a push.
+    proven = [0, 0]
     while True:
-        # A "clean" hop moved nothing in or out, so that axis's range-test
-        # flags in ``scratch`` are known all-False for the current set and
-        # the settlement count below can skip recomputing them.
-        x_clean = y_clean = False
         if px > 1:
-            particles, x_clean = yield from _route_axis(
-                comm, cart, particles, mesh, cost, scratch,
+            particles = yield from _route_axis(
+                comm, cart, particles, mesh, cost, scratch, proven,
                 splits=partition.xsplits, lo=x_lo, hi=x_hi,
                 my_index=my_px, n_index=px, axis=0,
                 tag_fwd=TAG_X_RIGHT, tag_bwd=TAG_X_LEFT,
             )
         if py > 1:
-            particles, y_clean = yield from _route_axis(
-                comm, cart, particles, mesh, cost, scratch,
+            particles = yield from _route_axis(
+                comm, cart, particles, mesh, cost, scratch, proven,
                 splits=partition.ysplits, lo=y_lo, hi=y_hi,
                 my_index=my_py, n_index=py, axis=1,
                 tag_fwd=TAG_Y_UP, tag_bwd=TAG_Y_DOWN,
             )
-            if not y_clean:
-                x_clean = False  # the y hop changed the particle set
         misplaced = _count_misplaced(
-            cart, partition, mesh, particles,
-            scratch=scratch, x_clean=x_clean, y_clean=y_clean,
+            cart, partition, mesh, particles, scratch=scratch, proven=proven,
         )
         total = yield comm.allreduce(misplaced, op=SUM)
         if total == 0:
@@ -834,8 +851,7 @@ def exchange_particles(
 def _count_misplaced(
     cart, partition, mesh, particles, *,
     scratch: ExchangeScratch | None = None,
-    x_clean: bool = False,
-    y_clean: bool = False,
+    proven=(0, 0),
 ) -> int:
     """Number of local particles whose owning rank is not ``cart.rank``.
 
@@ -843,7 +859,9 @@ def _count_misplaced(
     x-range or its cell row is outside the y-range — exactly
     ``owner_rank != cart.rank`` for a Cartesian-product partition, without
     materializing per-particle owner indices.  With ``scratch`` the tests
-    run allocation-free; an axis already proven clean is skipped.
+    run allocation-free and cover only the suffix past the shortest
+    ``proven`` in-range prefix (see :func:`exchange_particles`); an axis
+    proven over the whole array is skipped.
     """
     n = len(particles)
     if n == 0:
@@ -853,26 +871,28 @@ def _count_misplaced(
             particles.cell_columns(mesh), particles.cell_rows(mesh)
         )
         return int(np.count_nonzero(owner != cart.rank))
+    axes = [
+        axis for axis, n_index in enumerate((cart.px, cart.py))
+        if n_index > 1 and proven[axis] < n
+    ]
+    if not axes:
+        return 0
+    start = min(proven[axis] for axis in axes)
     my_px, my_py = cart.coords
-    bad_x = bad_y = None
-    if cart.px > 1 and not x_clean:
-        lo, hi = partition.x_range(my_px)
-        bad_x = scratch.out_of_range(
-            0, scratch.cells_into(particles.x, mesh), lo, hi
+    bad = None
+    for axis in axes:
+        if axis == 0:
+            coord, (lo, hi) = particles.x, partition.x_range(my_px)
+        else:
+            coord, (lo, hi) = particles.y, partition.y_range(my_py)
+        flags = scratch.out_of_range(
+            axis, scratch.cells_into(coord[start:], mesh), lo, hi
         )
-    if cart.py > 1 and not y_clean:
-        lo, hi = partition.y_range(my_py)
-        bad_y = scratch.out_of_range(
-            1, scratch.cells_into(particles.y, mesh), lo, hi
-        )
-    if bad_x is not None and bad_y is not None:
-        np.logical_or(bad_x, bad_y, out=bad_x)
-        return int(np.count_nonzero(bad_x))
-    if bad_x is not None:
-        return int(np.count_nonzero(bad_x))
-    if bad_y is not None:
-        return int(np.count_nonzero(bad_y))
-    return 0
+        if bad is None:
+            bad = flags
+        else:
+            np.logical_or(bad, flags, out=bad)
+    return int(np.count_nonzero(bad))
 
 
 #: Shared zero-particle wire buffer (read-only by convention).
@@ -880,39 +900,44 @@ _EMPTY_BUF = np.empty((0, PARTICLE_RECORD_FIELDS), dtype=np.float64)
 
 
 def _route_axis(
-    comm, cart, particles, mesh, cost, scratch,
+    comm, cart, particles, mesh, cost, scratch, proven,
     *, splits, lo, hi, my_index, n_index, axis, tag_fwd, tag_bwd,
 ):
-    """One forwarding hop along one axis (generator).
+    """One forwarding hop along one axis (generator; returns the set).
 
-    Returns ``(particles, clean)``: ``clean`` means nothing moved in or
-    out, so the axis range-test flags left in ``scratch`` are still valid
-    (and all ``False``) for the returned set.  The sequence of simulated
-    events — pack compute, the two sendrecvs, unpack compute — and their
-    costs/payloads are identical to the historical copy-based hop.
+    Classifies only the suffix past ``proven[axis]`` (the exchange's
+    per-axis in-range prefix lengths, updated in place), takes the
+    departure indices from the out-of-range flags, and computes owner and
+    shorter periodic direction for the departures alone.  Departures are
+    packed by index into the wire buffers and removed by a stable
+    compaction that starts at the first of them.  The sequence of
+    simulated events — pack compute, the two sendrecvs, unpack compute —
+    and their costs/payloads are identical to the historical full-scan
+    hop, as is the resulting order: kept particles in their original
+    order, then ``from_bwd``, then ``from_fwd``.
     """
     n = len(particles)
+    start = proven[axis]
     n_fwd = n_bwd = 0
-    go_fwd = go_bwd = None
-    coord = particles.x if axis == 0 else particles.y
-    if n:
-        idx = scratch.cells_into(coord, mesh)
-        if int(np.count_nonzero(scratch.out_of_range(axis, idx, lo, hi))):
-            # Migration path: someone is off-block, so compute per-particle
-            # owner indices and the shorter periodic direction.
-            owner = np.searchsorted(splits, idx, side="right") - 1
-            dist = (owner - my_index) % n_index
-            go_fwd = (dist > 0) & (dist <= n_index // 2)
-            go_bwd = dist > n_index // 2
-            n_fwd = int(np.count_nonzero(go_fwd))
-            n_bwd = int(np.count_nonzero(go_bwd))
+    if start < n:
+        coord = particles.x if axis == 0 else particles.y
+        cell = scratch.cells_into(coord[start:], mesh)
+        leaving = scratch.out_of_range(axis, cell, lo, hi)
+        if np.count_nonzero(leaving):
+            rel = np.flatnonzero(leaving)
+            owner = np.searchsorted(splits, cell[rel], side="right") - 1
+            ahead = (owner - my_index) % n_index <= n_index // 2
+            dep = rel + start
+            fwd = dep[ahead]
+            bwd = dep[~ahead]
+            n_fwd, n_bwd = len(fwd), len(bwd)
 
     fwd_buf = (
-        particles.pack_into(go_fwd, scratch.wire(axis, 1, n_fwd))
+        particles.pack_into(fwd, scratch.wire(axis, 1, n_fwd))
         if n_fwd else _EMPTY_BUF
     )
     bwd_buf = (
-        particles.pack_into(go_bwd, scratch.wire(axis, -1, n_bwd))
+        particles.pack_into(bwd, scratch.wire(axis, -1, n_bwd))
         if n_bwd else _EMPTY_BUF
     )
     n_out = n_fwd + n_bwd
@@ -930,17 +955,25 @@ def _route_axis(
         nbytes=cost.particle_wire_bytes(bwd_buf.nbytes),
     )
 
+    # Every particle this hop keeps is in range on its axis.
+    proven[axis] = n - n_out
     n_in = len(from_bwd) + len(from_fwd)
     if n_in == 0 and n_out == 0:
-        return particles, True
+        return particles
     if n_in:
         yield comm.compute(cost.pack_time(n_in))
     if n_out:
-        # Explicit kept set: historically this mask was only bound when a
-        # count happened to be non-zero and the no-op path returned early.
-        keep = ~(go_fwd | go_bwd)
-        particles.compact(keep)
+        # The flags still cover [start, n) in this rank's scratch: nothing
+        # else touches it while the hop is suspended in its sendrecvs.
+        first = int(dep[0])
+        particles.compact(
+            scratch.keep_mask(leaving[first - start:]), start=first
+        )
+        # The other axis's proven prefix loses the departures inside it.
+        other = 1 - axis
+        if proven[other] > first:
+            proven[other] -= int(np.searchsorted(dep, proven[other]))
     # Arrival order matches the old [kept, from_bwd, from_fwd] concatenation.
     particles.extend_packed(from_bwd)
     particles.extend_packed(from_fwd)
-    return particles, False
+    return particles

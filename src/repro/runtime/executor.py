@@ -930,6 +930,8 @@ class ProcessExecutor(Executor):
     started on the first batch and survive across runs — benchmark
     repetitions and whole test suites reuse one warmed pool
     (``pool_startup_s`` reports the one-time fork/spawn cost separately).
+    :meth:`close` reaps both, and is not final: the next batch restarts
+    the pool over a fresh arena.
 
     Dispatch is zero-copy in the steady state: task records go through
     per-worker shared-memory rings (see the ring section above) and a
@@ -1358,7 +1360,10 @@ class ProcessExecutor(Executor):
         self._plan_locs = None
         self._seg_ids.clear()
         self._batch_task = {}
+        # The shared default executor restarts lazily after a close (see
+        # Scheduler.close); an unused ShmArena holds no shared memory.
         self.arena.close()
+        self.arena = ShmArena()
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:

@@ -12,6 +12,7 @@ int64 fields' value round-trip through the float64 wire format.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.particles import PARTICLE_RECORD_FIELDS, ParticleArray
@@ -159,3 +160,33 @@ def test_pack_into_rejects_undersized_buffer():
         pass
     else:
         raise AssertionError("expected ValueError for undersized wire buffer")
+
+
+_DROP_SETS = {
+    "none": [],
+    "all": list(range(40)),
+    "first": [0],
+    "last": [39],
+    "scattered": [3, 4, 17, 22, 31, 38],
+    "tail": list(range(33, 40)),
+}
+
+
+@pytest.mark.parametrize("drop", list(_DROP_SETS), ids=list(_DROP_SETS))
+@pytest.mark.parametrize("from_first", [False, True], ids=["whole", "suffix"])
+def test_compact_drop_sets_equal_select(drop, from_first):
+    """``compact`` over the whole mask or, with ``start``, over the suffix
+    from the first dropped particle: same survivors as ``select(keep)``,
+    with the backing store (capacity, generation) left in place."""
+    n = 40
+    keep = np.ones(n, dtype=bool)
+    keep[_DROP_SETS[drop]] = False
+    expected = random_particles(n, 11).select(keep)
+    p = random_particles(n, 11)
+    p.reserve(64)
+    capacity, generation = p.capacity, p.generation
+    start = min(_DROP_SETS[drop], default=n) if from_first else 0
+    p.compact(keep[start:], start=start)
+    assert_same(p, expected)
+    assert p.capacity == capacity
+    assert p.generation == generation

@@ -236,6 +236,34 @@ class TestBackends:
         ex.close()
         ex.close()
 
+    def test_closed_process_executor_restarts_for_next_run(self):
+        """A closed pool (e.g. the shared default reaped on a crash path)
+        runs the next simulation on a fresh arena, bitwise like serial."""
+        from repro.core.spec import Distribution, PICSpec
+        from repro.parallel.mpi2d import Mpi2dPIC
+
+        spec = PICSpec(
+            cells=16, n_particles=200, steps=3,
+            distribution=Distribution.UNIFORM,
+        )
+        oracle = Mpi2dPIC(spec, 4, executor=make_executor("serial")).run()
+        ex = ProcessExecutor(workers=2)
+        try:
+            assert Mpi2dPIC(spec, 4, executor=ex).run().verification.ok
+            closed_arena = ex.arena
+            ex.close()
+            with pytest.raises(RuntimeError, match="closed ShmArena"):
+                closed_arena.alloc(4, np.float64)
+            again = Mpi2dPIC(spec, 4, executor=ex).run()
+            assert ex.arena is not closed_arena
+            assert ex._procs, "the pool should have restarted"
+        finally:
+            ex.close()
+        assert again.verification.ok
+        assert again.total_time == oracle.total_time
+        assert again.verification.id_checksum == oracle.verification.id_checksum
+        assert again.verification.max_abs_error == oracle.verification.max_abs_error
+
     def test_batched_stats_count_fusions(self):
         mesh = Mesh(cells=8)
         ex = BatchedExecutor()
