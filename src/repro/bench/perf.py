@@ -106,6 +106,7 @@ from repro.core import kernel
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
 from repro.core.spec import PICSpec
+from repro.runtime import executor as executor_mod
 from repro.runtime.costmodel import CostModel
 from repro.runtime.machine import MachineModel
 
@@ -141,17 +142,24 @@ def _entry_env() -> dict:
 # ----------------------------------------------------------------------
 @contextmanager
 def use_legacy_kernel():
-    """Route ``kernel.advance`` to the pre-fusion reference implementation."""
+    """Route every push to the pre-fusion reference implementation.
+
+    Also switches off the serial executor's small-task fusion, whose
+    staged blocks would bypass the ``kernel.advance`` patch.
+    """
     orig = kernel.advance
+    orig_fuse = executor_mod.FUSE_BELOW
 
     def _legacy(mesh, particles, dt, workspace=None):
         return kernel.advance_reference(mesh, particles, dt)
 
     kernel.advance = _legacy
+    executor_mod.FUSE_BELOW = 0
     try:
         yield
     finally:
         kernel.advance = orig
+        executor_mod.FUSE_BELOW = orig_fuse
 
 
 @contextmanager

@@ -47,7 +47,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from repro.config import ConfigError, ExecutorConfig, RunSpec, diff_docs
+from repro.config import EXECUTOR_KINDS, ConfigError, ExecutorConfig, RunSpec, diff_docs
 from repro.core.simulation import run_serial
 from repro.core.spec import Distribution, PICSpec, Region, spec_to_dict
 from repro.instrument import (
@@ -119,7 +119,7 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ampi-interval", type=int, default=25)
     p.add_argument(
         "--executor",
-        choices=["serial", "batched", "process"],
+        choices=EXECUTOR_KINDS,
         default=None,
         help="compute-execution backend for the particle push "
         "(precedence: this flag > REPRO_EXECUTOR > --spec file > serial)",
@@ -381,7 +381,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(
             "error: --profile cannot observe worker processes; cProfile only "
             "sees the parent, so the profile would be misleading. Use "
-            "--executor serial (or batched) to profile, or drop --profile "
+            "--executor serial to profile, or drop --profile "
             "to measure the process backend (see docs/performance.md).",
             file=sys.stderr,
         )
@@ -868,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the checkpoints the resumed run keeps taking",
     )
     p.add_argument(
-        "--executor", choices=["serial", "batched", "process"], default=None,
+        "--executor", choices=EXECUTOR_KINDS, default=None,
         help="compute backend (precedence: this flag > REPRO_EXECUTOR > serial)",
     )
     p.add_argument(
@@ -932,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
         "are interleaving-invariant; this only exercises that claim)",
     )
     p.add_argument(
-        "--executor", choices=["serial", "batched", "process"], default=None,
+        "--executor", choices=EXECUTOR_KINDS, default=None,
         help="shared compute backend (flag > REPRO_EXECUTOR > serial)",
     )
     p.add_argument(

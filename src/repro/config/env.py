@@ -27,7 +27,7 @@ ENV_EXECUTOR = "REPRO_EXECUTOR"
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_KERNEL_BACKEND = "REPRO_KERNEL_BACKEND"
 
-EXECUTOR_KINDS = ("serial", "batched", "process")
+EXECUTOR_KINDS = ("serial", "process")
 KERNEL_BACKEND_NAMES = ("python", "compiled", "compiled-parallel", "auto")
 
 DEFAULT_EXECUTOR = "serial"

@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
+from repro.config.env import EXECUTOR_KINDS
 from repro.core.spec import PICSpec, spec_from_dict, spec_to_dict
 from repro.runtime.costmodel import CostModel
 from repro.runtime.machine import MachineModel, Tier, TierCosts
@@ -380,19 +381,16 @@ class ExecutorConfig:
     under one backend resumes bit-for-bit under the other).
     """
 
-    kind: str | None = None  # serial | batched | process | None = inherit
+    kind: str | None = None  # serial | process | None = inherit
     workers: int | None = None
     # python | compiled | compiled-parallel | auto | None = inherit
     kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is not None and self.kind not in (
-            "serial",
-            "batched",
-            "process",
-        ):
+        if self.kind is not None and self.kind not in EXECUTOR_KINDS:
             raise ConfigError(
-                f"executor.kind must be serial/batched/process, got {self.kind!r}"
+                f"executor.kind must be {'/'.join(EXECUTOR_KINDS)}, "
+                f"got {self.kind!r}"
             )
         if self.workers is not None and self.workers < 0:
             raise ConfigError("executor.workers must be >= 0")

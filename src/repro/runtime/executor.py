@@ -9,21 +9,23 @@ their compute op instead of running the kernel inline, the scheduler
 collects every simultaneously runnable task into a batch (see
 ``Scheduler._flush_compute``), and an :class:`Executor` runs the batch.
 
-Three backends, all bitwise-identical in results, simulated times and
-golden traces (``tests/parallel/test_executor_determinism.py``):
+Two backends, bitwise-identical in results, simulated times and golden
+traces (``tests/parallel/test_executor_determinism.py``):
 
 ``serial``
-    The reference: runs each task in park order, exactly the work the rank
-    would have done inline.
-
-``batched``
-    Stacks all runnable ranks' particle slices into one staging buffer and
-    drives a single fused :func:`repro.core.kernel.advance_arrays` call over
-    the concatenation.  The kernel is elementwise, so concatenation changes
-    chunk boundaries but not a single result bit; what it does change is the
-    number of numpy ufunc dispatches — ~50 per *batch* instead of ~50 per
-    *rank* — which is where many-small-rank configs (the AMPI VP sweeps)
-    spend their wall clock.
+    The in-process backend.  A task of at least :data:`FUSE_BELOW`
+    particles runs in place, as the rank would have run it inline.  Smaller
+    tasks — the norm under AMPI over-decomposition — are staged with the
+    other small tasks of the same ``(mesh, dt, kernel backend)`` into a
+    persistent ``(5, KERNEL_BLOCK)`` block, one
+    :func:`repro.core.kernel.advance_arrays` call per block, and
+    ``x, y, vx, vy`` are copied back.  The kernel is elementwise, so fusion
+    moves chunk boundaries but no result bit; it cuts ~50 numpy dispatches
+    per *rank* to ~50 per *block*.  The threshold, ``KERNEL_BLOCK // 4``,
+    is the measured crossover: on a 2-vCPU x86 host (python kernel), fused
+    pushes of n-particle tasks against one call per task ran 3.3x faster
+    at n = 200, 1.5x at 1,000, 1.19x at 2,000, 1.05x at 3,000, 0.99x at
+    4,000 and 0.91x at 8,000.
 
 ``process``
     A persistent ``multiprocessing`` worker pool operating on
@@ -66,7 +68,7 @@ from typing import Any
 import numpy as np
 
 from repro.core import kernel, kernel_compiled
-from repro.core.kernel import KernelWorkspace, advance_arrays
+from repro.core.kernel import KERNEL_BLOCK, KernelWorkspace, advance_arrays
 from repro.core.kernel_compiled import (
     advance_arrays_compiled,
     advance_arrays_parallel,
@@ -79,12 +81,15 @@ __all__ = [
     "ExecutorHandle",
     "BatchHandle",
     "SerialExecutor",
-    "BatchedExecutor",
     "ProcessExecutor",
     "ShmArena",
     "make_executor",
     "default_executor",
 ]
+
+#: Tasks with fewer particles than this are fused by :class:`SerialExecutor`
+#: (the crossover is measured in the module docstring).
+FUSE_BELOW = KERNEL_BLOCK // 4
 
 #: Shared-memory offsets are aligned to cache lines.
 _ALIGN = 64
@@ -222,10 +227,10 @@ class Executor:
         affects execution.
 
         The default implementation runs the batch synchronously and hands
-        back an already-completed handle: every executor without real
-        asynchrony (serial, batched) therefore presents the *same*
-        completion order to the scheduler, which is what keeps the
-        overlapped-exchange resume policy backend-agnostic.
+        back an already-completed handle: an executor without real
+        asynchrony (serial) therefore presents the *same* completion order
+        to the scheduler as the process pool's in-order waits, which is
+        what keeps the overlapped-exchange resume policy backend-agnostic.
         """
         self._note_tag(tag, batch)
         self.run_batch(batch)
@@ -309,7 +314,12 @@ def _run_task(task, backend: str, workspace=None) -> None:
 
 
 class SerialExecutor(Executor):
-    """Reference backend: each task inline, in park order."""
+    """In-process backend: large tasks in place, small tasks fused.
+
+    Every kernel call is timed; a fused call's time is split across its
+    tasks by particle share (exact where it matters: ranks on different
+    kernel backends never share a call).
+    """
 
     name = "serial"
 
@@ -323,136 +333,119 @@ class SerialExecutor(Executor):
         self._init_kernel_backend(
             kernel_backend, backend_map, work_meter, exec_tracer
         )
+        #: Fusion staging rows x, y, vx, vy, q.
+        self._stage = np.empty((5, KERNEL_BLOCK), dtype=np.float64)
         self.batches = 0
+        self.kernel_calls = 0
+        self.fused_tasks = 0
         self._epoch: float | None = None
 
     def run_batch(self, batch: list[tuple[int, Any]]) -> None:
         self.batches += 1
         measure = self.work_meter is not None or self.exec_tracer is not None
-        if not measure:
-            for rank, task in batch:
-                _run_task(task, self._backend_for(rank))
-            return
-        if self._epoch is None:
-            self._epoch = time.perf_counter()
-        for rank, task in batch:
+        secs = [0.0] * len(batch) if measure else None
+        t_batch = time.perf_counter()
+        small: dict[tuple, list[int]] = {}
+        for i, (rank, task) in enumerate(batch):
             n = len(task.particles)
-            t0 = time.perf_counter()
-            _run_task(task, self._backend_for(rank))
-            dt = time.perf_counter() - t0
-            if self.work_meter is not None:
-                self.work_meter.record(rank, n, dt)
-            if self.exec_tracer is not None:
-                self.exec_tracer.record(
-                    "task", rank, self.batches,
-                    t0 - self._epoch, t0 - self._epoch + dt, n=n, rank=rank,
-                )
-
-
-class BatchedExecutor(Executor):
-    """Fused backend: one kernel call over the concatenated batch.
-
-    Tasks are grouped by ``(mesh, dt)`` (in practice one group); each
-    group's field arrays are staged contiguously into a persistent buffer,
-    advanced with a single :func:`advance_arrays` call, and copied back per
-    rank segment.  Elementwise kernels are chunk-boundary-agnostic, so the
-    fusion is bitwise exact; the staging copies are two extra passes traded
-    against per-rank ufunc dispatch overhead.
-    """
-
-    name = "batched"
-
-    #: x, y, vx, vy are copied back; q is read-only in the kernel.
-    _N_STAGE_ROWS = 5
-
-    def __init__(
-        self,
-        kernel_backend: str | None = None,
-        backend_map=None,
-        work_meter=None,
-        exec_tracer=None,
-    ) -> None:
-        self._init_kernel_backend(
-            kernel_backend, backend_map, work_meter, exec_tracer
-        )
-        self._stage = np.empty((self._N_STAGE_ROWS, 0), dtype=np.float64)
-        self.batches = 0
-        self.fused_tasks = 0
-
-    def run_batch(self, batch: list[tuple[int, Any]]) -> None:
-        # Grouping by backend keeps fusion sound per kernel: a mixed
-        # backend_map yields one fused call per (mesh, dt, backend).
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
-        for rank, task in batch:
-            if len(task.particles) == 0:
+            if n == 0:
                 continue
-            key = (task.mesh, task.dt, self._backend_for(rank))
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((rank, task))
-        self.batches += 1
-        measure = self.work_meter is not None or self.exec_tracer is not None
-        for key in order:
-            mesh, dt, backend = key
-            pairs = groups[key]
-            t0 = time.perf_counter() if measure else 0.0
-            if len(pairs) == 1:
-                _run_task(pairs[0][1], backend)
-            else:
-                self.fused_tasks += len(pairs)
-                self._run_fused(mesh, dt, backend, [t for _, t in pairs])
+            backend = self._backend_for(rank)
+            if n < FUSE_BELOW:
+                small.setdefault((task.mesh, task.dt, backend), []).append(i)
+                continue
+            t0 = time.perf_counter()
+            _run_task(task, backend)
+            self.kernel_calls += 1
             if measure:
-                elapsed = time.perf_counter() - t0
-                total = sum(len(t.particles) for _, t in pairs)
-                if self.exec_tracer is not None:
-                    self.exec_tracer.record(
-                        "execute", -1, self.batches, 0.0, elapsed,
-                        tasks=len(pairs), n=total,
-                    )
-                if self.work_meter is not None and total:
-                    # A fused group yields one timing; attribute it to the
-                    # member ranks proportionally to their particle share.
-                    for rank, t in pairs:
-                        n = len(t.particles)
-                        self.work_meter.record(rank, n, elapsed * n / total)
+                secs[i] = time.perf_counter() - t0
+        for key, idxs in small.items():
+            self.fused_tasks += len(idxs)
+            self._run_fused(key, batch, idxs, secs)
+        if measure:
+            self._report(batch, secs, t_batch)
 
-    def _run_fused(self, mesh: Mesh, dt: float, backend: str, tasks: list) -> None:
-        total = sum(len(t.particles) for t in tasks)
-        if self._stage.shape[1] < total:
-            self._stage = np.empty(
-                (self._N_STAGE_ROWS, max(total, 2 * self._stage.shape[1])),
-                dtype=np.float64,
-            )
-        x, y, vx, vy, q = (self._stage[i, :total] for i in range(5))
-        bounds = []
-        o = 0
-        for t in tasks:
-            p = t.particles
+    def _run_fused(self, key: tuple, batch: list, idxs: list[int], secs) -> None:
+        """Stream tasks ``idxs`` through the staging block in order, one
+        kernel call per full (or final) block."""
+        segs: list[tuple] = []  # ((x, y, vx, vy, q) views, task index)
+        fill = 0
+        for i in idxs:
+            p = batch[i][1].particles
             n = len(p)
-            x[o : o + n] = p.x
-            y[o : o + n] = p.y
-            vx[o : o + n] = p.vx
-            vy[o : o + n] = p.vy
-            q[o : o + n] = p.q
-            bounds.append((o, o + n))
-            o += n
+            lo = 0
+            while lo < n:
+                hi = min(n, lo + KERNEL_BLOCK - fill)
+                fields = (p.x, p.y, p.vx, p.vy, p.q)
+                if hi - lo < n:  # the task straddles a block boundary
+                    fields = tuple(f[lo:hi] for f in fields)
+                segs.append((fields, i))
+                fill += hi - lo
+                lo = hi
+                if fill == KERNEL_BLOCK:
+                    self._push_block(key, fill, segs, secs)
+                    segs = []
+                    fill = 0
+        if fill:
+            self._push_block(key, fill, segs, secs)
+
+    def _push_block(self, key: tuple, fill: int, segs: list, secs) -> None:
+        """Stage ``segs`` contiguously, push them in one call, copy back."""
+        t0 = time.perf_counter()
+        mesh, dt, backend = key
+        rows = [row[:fill] for row in self._stage]
+        for k, row in enumerate(rows):
+            np.concatenate([fields[k] for fields, _ in segs], out=row)
+        x, y, vx, vy, q = rows
+        # The module-level name, so wrappers installed on this module's
+        # ``advance_arrays`` see every fused python push.
         if backend == "python":
             advance_arrays(mesh, x, y, vx, vy, q, dt)
         elif backend == "compiled":
             advance_arrays_compiled(mesh, x, y, vx, vy, q, dt)
         else:
             advance_arrays_parallel(mesh, x, y, vx, vy, q, dt)
-        for t, (a, b) in zip(tasks, bounds):
-            p = t.particles
-            p.x[:] = x[a:b]
-            p.y[:] = y[a:b]
-            p.vx[:] = vx[a:b]
-            p.vy[:] = vy[a:b]
+        # q is read-only in the kernel: only four rows are copied back.
+        off = 0
+        for (px, py, pvx, pvy, _), _ in segs:
+            end = off + len(px)
+            px[:] = x[off:end]
+            py[:] = y[off:end]
+            pvx[:] = vx[off:end]
+            pvy[:] = vy[off:end]
+            off = end
+        self.kernel_calls += 1
+        if secs is not None:
+            per_particle = (time.perf_counter() - t0) / fill
+            for fields, i in segs:
+                secs[i] += per_particle * len(fields[0])
+
+    def _report(self, batch: list[tuple[int, Any]], secs: list[float],
+                t_batch: float) -> None:
+        """One meter sample and one ``task`` span per non-empty task."""
+        if self._epoch is None:
+            self._epoch = t_batch
+        t = t_batch - self._epoch
+        for (rank, task), s in zip(batch, secs):
+            n = len(task.particles)
+            if n == 0:
+                continue
+            if self.work_meter is not None:
+                self.work_meter.record(rank, n, s)
+            if self.exec_tracer is not None:
+                self.exec_tracer.record(
+                    "task", rank, self.batches, t, t + s, n=n, rank=rank
+                )
+            t += s
 
     def stats(self) -> dict:
-        return dict(batches=self.batches, fused_tasks=self.fused_tasks)
+        return dict(batches=self.batches, kernel_calls=self.kernel_calls,
+                    fused_tasks=self.fused_tasks)
+
+
+#: Former name of :class:`SerialExecutor`, resolved by the benchmark's
+#: frozen tracing wrappers; delete it in the wall-clock spans switch-over.
+BatchedExecutor = SerialExecutor
 
 
 # ----------------------------------------------------------------------
@@ -1397,11 +1390,11 @@ def make_executor(
     )
     if name == "serial":
         return SerialExecutor(**kw)
-    if name == "batched":
-        return BatchedExecutor(**kw)
     if name == "process":
         return ProcessExecutor(workers=workers, **kw)
-    raise ValueError(f"unknown executor {name!r} (serial, batched, process)")
+    from repro.config.env import EXECUTOR_KINDS
+
+    raise ValueError(f"unknown executor {name!r} ({', '.join(EXECUTOR_KINDS)})")
 
 
 _DEFAULT: Executor | None = None

@@ -103,6 +103,30 @@ class TestDrivers:
             assert kernel.advance is not orig
         assert kernel.advance is orig
 
+    def test_legacy_kernel_reaches_every_push(self, monkeypatch):
+        """Tasks small enough to fuse still run the reference push."""
+        from repro.core.spec import Distribution, PICSpec
+        from repro.parallel.mpi2d import Mpi2dPIC
+        from repro.runtime.executor import SerialExecutor
+
+        pushed = []
+        reference = kernel.advance_reference
+
+        def counting(mesh, particles, dt):
+            pushed.append(len(particles))
+            return reference(mesh, particles, dt)
+
+        monkeypatch.setattr(kernel, "advance_reference", counting)
+        spec = PICSpec(
+            cells=32, n_particles=4_000, steps=3,
+            distribution=Distribution.UNIFORM,
+        )
+        with perf.use_legacy_kernel():
+            result = Mpi2dPIC(spec, 4, executor=SerialExecutor()).run()
+        assert result.verification.ok
+        assert len(pushed) == 4 * spec.steps
+        assert sum(pushed) == spec.n_particles * spec.steps
+
     def test_legacy_exchange_patch_restores(self):
         import repro.parallel.base as base_mod
 

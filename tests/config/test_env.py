@@ -24,7 +24,7 @@ class TestEnvParsing:
         assert env_workers({"REPRO_WORKERS": ""}) is None
 
     def test_valid_values(self):
-        for kind in ("serial", "batched", "process"):
+        for kind in ("serial", "process"):
             assert env_executor({"REPRO_EXECUTOR": kind}) == kind
         assert env_workers({"REPRO_WORKERS": "4"}) == 4
         assert env_workers({"REPRO_WORKERS": "0"}) == 0
@@ -32,6 +32,8 @@ class TestEnvParsing:
     def test_invalid_executor_raises(self):
         with pytest.raises(EnvConfigError, match="gpu"):
             env_executor({"REPRO_EXECUTOR": "gpu"})
+        with pytest.raises(EnvConfigError, match="batched"):
+            env_executor({"REPRO_EXECUTOR": "batched"})
 
     def test_invalid_workers_raise(self):
         with pytest.raises(EnvConfigError, match="integer"):
@@ -40,21 +42,21 @@ class TestEnvParsing:
             env_workers({"REPRO_WORKERS": "-1"})
 
     def test_default_executor_reads_process_environ(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
-        assert env_executor() == "batched"
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        assert env_executor() == "process"
 
 
 class TestPrecedence:
     """CLI > environment > spec > default, None falls through."""
 
-    ENV = {"REPRO_EXECUTOR": "batched", "REPRO_WORKERS": "3"}
+    ENV = {"REPRO_EXECUTOR": "process", "REPRO_WORKERS": "3"}
 
     def test_cli_wins_over_everything(self):
-        assert resolve_executor("process", "serial", environ=self.ENV) == "process"
+        assert resolve_executor("serial", "process", environ=self.ENV) == "serial"
         assert resolve_workers(7, 1, environ=self.ENV) == 7
 
     def test_env_wins_over_spec(self):
-        assert resolve_executor(None, "serial", environ=self.ENV) == "batched"
+        assert resolve_executor(None, "serial", environ=self.ENV) == "process"
         assert resolve_workers(None, 1, environ=self.ENV) == 3
 
     def test_spec_wins_over_default(self):
@@ -112,9 +114,9 @@ class TestDefaultExecutorUsesChain:
         from repro.runtime import executor as executor_mod
 
         monkeypatch.setattr(executor_mod, "_DEFAULT", None)
-        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         ex = executor_mod.default_executor()
-        assert type(ex).__name__ == "BatchedExecutor"
+        assert type(ex).__name__ == "ProcessExecutor"
         ex.close()
 
     def test_default_executor_rejects_bad_env(self, monkeypatch):

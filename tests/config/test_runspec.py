@@ -71,6 +71,10 @@ class TestValidation:
     def test_executor_kind_validated(self):
         with pytest.raises(ConfigError, match="gpu"):
             ExecutorConfig(kind="gpu")
+        with pytest.raises(ConfigError, match="executor.kind"):
+            RunSpec.from_dict(
+                {**small_spec().to_dict(), "executor": {"kind": "batched"}}
+            )
 
     @pytest.mark.parametrize("key", ["dispatch", "ring_slots"])
     def test_retired_executor_keys_rejected(self, key):

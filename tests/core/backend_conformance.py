@@ -57,7 +57,7 @@ IMPLS = [
 ]
 
 #: Executor backends crossed with the kernel backends in the full matrix.
-EXECUTORS = [("serial", 0), ("batched", 0), ("process", 2)]
+EXECUTORS = [("serial", 0), ("process", 2)]
 
 #: Small but non-trivial: enough particles/steps that every rank computes,
 #: exchanges across subgrid borders, checkpoints mid-run and rebalances.

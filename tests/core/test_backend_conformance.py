@@ -8,7 +8,7 @@ Built on :mod:`tests.core.backend_conformance`.  Four layers of claims:
    across mesh spacings, velocity regimes, block seams and pooled
    (capacity-managed view) buffers.
 2. **Full-run matrix** — every implementation (mpi-2d, mpi-2d-LB, ampi)
-   under every executor (serial, batched, process) under every backend
+   under every executor (serial, process) under every backend
    (python, compiled, compiled-parallel) produces identical positions,
    checksums, simulated clocks, golden traces and checkpoint files.
 3. **Graceful degradation** — without numba, ``compiled`` fails loudly
@@ -218,7 +218,7 @@ class TestWithoutNumba:
 
     def test_executor_construction_fails_eagerly(self):
         """A compiled request dies at make_executor time, not mid-run."""
-        for name in ("serial", "batched", "process"):
+        for name in ("serial", "process"):
             with pytest.raises(CompiledKernelUnavailable):
                 make_executor(name, workers=2, kernel_backend="compiled")
 

@@ -1,6 +1,6 @@
 """Bitwise determinism of the executor x kernel-backend matrix.
 
-A fig6-shape config is run under every cell of {serial, batched,
+A fig6-shape config is run under every cell of {serial,
 process --workers 4} x {python, compiled, compiled-parallel}; every
 cell must produce
 identical final particle positions, id checksums, simulated times, golden
@@ -43,7 +43,7 @@ requires_numba = pytest.mark.skipif(
     reason=f"compiled kernel backend needs numba (pip install '{COMPILED_EXTRA}')",
 )
 
-_EXECUTORS = [("serial", 0), ("batched", 0), ("process", 4)]
+_EXECUTORS = [("serial", 0), ("process", 4)]
 _BACKENDS = ["python"] + (
     ["compiled", "compiled-parallel"] if HAVE_NUMBA else []
 )

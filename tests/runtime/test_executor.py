@@ -7,14 +7,20 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.kernel import KernelWorkspace, advance, advance_arrays
+from repro.core import kernel as kernel_mod
+from repro.core.kernel import (
+    KERNEL_BLOCK,
+    KernelWorkspace,
+    advance,
+    advance_arrays,
+)
 from repro.bench.legacy import PipeDispatchExecutor
 from repro.core.mesh import Mesh
 from repro.core.particles import ParticleArray
 from repro.runtime import executor as executor_mod
 from repro.runtime import ops
 from repro.runtime.executor import (
-    BatchedExecutor,
+    FUSE_BELOW,
     ProcessExecutor,
     PushTask,
     SerialExecutor,
@@ -193,7 +199,7 @@ class TestRebaseBacking:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("name", ["serial", "batched"])
+    @pytest.mark.parametrize("name", ["serial"])
     def test_backend_matches_serial_oracle(self, name):
         mesh = Mesh(cells=8)
         sizes = (40, 0, 333, 17)
@@ -264,11 +270,86 @@ class TestBackends:
         assert again.verification.id_checksum == oracle.verification.id_checksum
         assert again.verification.max_abs_error == oracle.verification.max_abs_error
 
-    def test_batched_stats_count_fusions(self):
+    def test_serial_stats_count_calls_and_fusions(self):
         mesh = Mesh(cells=8)
-        ex = BatchedExecutor()
-        ex.run_batch(_push_batch(mesh, 0.01, (30, 30, 30)))
-        assert ex.stats() == {"batches": 1, "fused_tasks": 3}
+        ex = SerialExecutor()
+        ex.run_batch(_push_batch(mesh, 0.01, (30, 30, 30, FUSE_BELOW)))
+        assert ex.stats() == {"batches": 1, "kernel_calls": 2, "fused_tasks": 3}
+
+    @staticmethod
+    def _mixed_batch():
+        """Fusion edge sizes plus 40 ~200-particle tasks, interleaving two
+        meshes and two dts; odd ranks take ``auto`` through a backend_map
+        (a second kernel backend when numba is installed)."""
+        meshes = (Mesh(cells=8), Mesh(cells=16))
+        sizes = [0, 1, FUSE_BELOW - 1, FUSE_BELOW, KERNEL_BLOCK + 1]
+        sizes += [180 + 3 * k for k in range(40)]
+        batch = []
+        for r, n in enumerate(sizes):
+            mesh = meshes[r % 2]
+            dt = (0.01, 0.02)[(r // 2) % 2]
+            batch.append((r, PushTask(mesh, _particles(n, mesh, seed=r), dt)))
+        backend_map = {r: "auto" for r in range(1, len(sizes), 2)}
+        return batch, backend_map
+
+    def test_fusion_matches_per_task_oracle(self):
+        batch, backend_map = self._mixed_batch()
+        oracle = [t.particles.copy() for _, t in batch]
+        for (_, t), p in zip(batch, oracle):
+            advance(t.mesh, p, t.dt)
+        SerialExecutor(backend_map=backend_map).run_batch(batch)
+        for (_, task), p in zip(batch, oracle):
+            _assert_fields_equal(task.particles, p)
+
+    def test_fused_kernel_calls_bounded_per_flush(self, monkeypatch):
+        """At most ceil(sum small / KERNEL_BLOCK) calls per (mesh, dt,
+        backend), plus one per large task, on every flush."""
+        calls = []
+
+        def counting(original):
+            def wrapped(mesh, x, *args, **kwargs):
+                calls.append(len(x))
+                return original(mesh, x, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(
+            executor_mod, "advance_arrays", counting(advance_arrays)
+        )
+        monkeypatch.setattr(
+            kernel_mod, "advance_arrays", counting(advance_arrays)
+        )
+        batch, _ = self._mixed_batch()
+        small: dict[tuple, int] = {}
+        large = 0
+        for _, t in batch:
+            n = len(t.particles)
+            if n >= FUSE_BELOW:
+                large += 1
+            elif n:
+                key = (t.mesh, t.dt)
+                small[key] = small.get(key, 0) + n
+        bound = large + sum(-(-s // KERNEL_BLOCK) for s in small.values())
+        ex = SerialExecutor()
+        for _ in range(2):  # a warm flush must keep the bound too
+            calls.clear()
+            ex.run_batch(batch)
+            assert len(calls) <= bound
+            assert sum(calls) == sum(len(t.particles) for _, t in batch)
+
+    def test_warm_fused_batch_allocates_little(self):
+        import tracemalloc
+
+        mesh = Mesh(cells=16)
+        batch = _push_batch(mesh, 0.01, [400] * 128)
+        ex = SerialExecutor()
+        ex.run_batch(batch)
+        tracemalloc.start()
+        try:
+            ex.run_batch(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_make_executor_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -473,7 +554,7 @@ class TestSchedulerBatching:
             yield comm.compute(1e-6, task=PushTask(mesh, p, 0.01))
             return bool(np.any(p.x != before))
 
-        result = run_spmd(2, program, executor=BatchedExecutor())
+        result = run_spmd(2, program, executor=SerialExecutor())
         assert result.returns == [True, True]
 
     def test_compute_op_carries_task(self):
@@ -486,7 +567,7 @@ class TestKernelBackendPlumbing:
     """Backend selection, work-rate metering and warm-up accounting."""
 
     def test_default_backend_is_python(self):
-        for ex in (SerialExecutor(), BatchedExecutor(), ProcessExecutor(workers=1)):
+        for ex in (SerialExecutor(), ProcessExecutor(workers=1)):
             assert ex.kernel_backend == "python"
             ex.close()
 
@@ -496,7 +577,7 @@ class TestKernelBackendPlumbing:
 
     @pytest.mark.skipif(HAVE_NUMBA, reason="needs a numba-less environment")
     def test_compiled_without_numba_fails_at_construction(self):
-        for name in ("serial", "batched", "process"):
+        for name in ("serial", "process"):
             with pytest.raises(CompiledKernelUnavailable):
                 make_executor(name, workers=1, kernel_backend="compiled")
         with pytest.raises(CompiledKernelUnavailable):
@@ -511,7 +592,7 @@ class TestKernelBackendPlumbing:
         assert ex._backend_for(0) == "python"
         assert ex._backend_for(1) == ("compiled" if HAVE_NUMBA else "python")
 
-    @pytest.mark.parametrize("name,workers", [("serial", 0), ("batched", 0), ("process", 2)])
+    @pytest.mark.parametrize("name,workers", [("serial", 0), ("process", 2)])
     def test_work_meter_records_per_rank_rates(self, name, workers):
         mesh = Mesh(cells=8)
         meter = WorkRateMeter()

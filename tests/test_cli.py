@@ -122,12 +122,12 @@ class TestCommands:
 
 class TestExecutorFlags:
     def test_executor_choices(self):
-        args = build_parser().parse_args(["run", "--executor", "batched"])
-        assert args.executor == "batched"
+        args = build_parser().parse_args(["run", "--executor", "process"])
+        assert args.executor == "process"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--executor", "gpu"])
 
-    @pytest.mark.parametrize("executor", ["serial", "batched", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_run_each_executor(self, executor, capsys):
         argv = [
             "run", "--impl", "mpi-2d", "--cores", "4",
@@ -144,6 +144,7 @@ class TestExecutorFlags:
     @pytest.mark.parametrize("argv, message", [
         (["run", "--dispatch", "ring"], "unrecognized arguments: --dispatch"),
         (["campaign", "decl.json", "--runner", "pool"], "invalid choice: 'pool'"),
+        (["run", "--executor", "batched"], "invalid choice: 'batched'"),
     ])
     def test_retired_path_selectors_are_argparse_errors(
         self, argv, message, capsys
@@ -507,15 +508,15 @@ class TestExecutorPrecedence:
     ]
 
     def test_env_sets_backend_when_flag_absent(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         rc = main([*self.ARGS, "--dry-run"])
         out = capsys.readouterr().out
         assert rc == 0
         doc = json.loads(out[: out.rindex("spec hash:")])
-        assert doc["executor"]["kind"] == "batched"
+        assert doc["executor"]["kind"] == "process"
 
     def test_cli_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         rc = main([*self.ARGS, "--executor", "serial", "--dry-run"])
         out = capsys.readouterr().out
         assert rc == 0
@@ -538,7 +539,7 @@ class TestExecutorPrecedence:
         rc = main([*self.ARGS, "--executor", "serial", "--dry-run"])
         out_a = capsys.readouterr().out
         assert rc == 0
-        rc = main([*self.ARGS, "--executor", "batched", "--workers", "2",
+        rc = main([*self.ARGS, "--executor", "process", "--workers", "2",
                    "--dry-run"])
         out_b = capsys.readouterr().out
         assert rc == 0
